@@ -120,4 +120,18 @@ ThreadPool& global_pool() {
   return pool;
 }
 
+void parallel_for_threads(
+    std::size_t threads, std::size_t total,
+    const std::function<std::size_t(std::size_t workers)>& grain,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (threads == 1) {
+    fn(0, total);
+    return;
+  }
+  std::unique_ptr<ThreadPool> owned;
+  if (threads != 0) owned = std::make_unique<ThreadPool>(threads);
+  ThreadPool& pool = owned ? *owned : global_pool();
+  pool.parallel_for(0, total, grain(pool.worker_count()), fn);
+}
+
 }  // namespace ddmc

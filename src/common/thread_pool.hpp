@@ -64,4 +64,14 @@ class ThreadPool {
 /// Singleton pool sized to the machine, for library-internal parallelism.
 ThreadPool& global_pool();
 
+/// Run fn over [0, total) under the library's thread-count convention:
+/// \p threads == 1 runs fn(0, total) inline on the calling thread, 0 uses
+/// global_pool(), any other n a pool of n workers owned by this call.
+/// \p grain maps the chosen pool's worker count to the parallel_for block
+/// size, so each caller keeps its own load-balancing rule.
+void parallel_for_threads(
+    std::size_t threads, std::size_t total,
+    const std::function<std::size_t(std::size_t workers)>& grain,
+    const std::function<void(std::size_t, std::size_t)>& fn);
+
 }  // namespace ddmc

@@ -1,7 +1,6 @@
 #include "dedisp/cpu_baseline.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/expect.hpp"
 #include "common/thread_pool.hpp"
@@ -69,21 +68,12 @@ void dedisperse_cpu_baseline(const Plan& plan, ConstView2D<float> in,
     }
   };
 
-  if (options.threads == 1) {
-    run_range(0, total);
-    return;
-  }
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned;
-  if (options.threads == 0) {
-    pool = &global_pool();
-  } else {
-    owned = std::make_unique<ThreadPool>(options.threads);
-    pool = owned.get();
-  }
-  const std::size_t chunk =
-      std::max<std::size_t>(1, total / (pool->worker_count() * 4));
-  pool->parallel_for(0, total, chunk, run_range);
+  parallel_for_threads(
+      options.threads, total,
+      [total](std::size_t workers) {
+        return std::max<std::size_t>(1, total / (workers * 4));
+      },
+      run_range);
 }
 
 Array2D<float> dedisperse_cpu_baseline(const Plan& plan,

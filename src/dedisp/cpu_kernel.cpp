@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -15,6 +14,9 @@ namespace ddmc::dedisp {
 namespace {
 
 /// Per-worker scratch, reused across tiles so the hot loop never allocates.
+/// \p Sample is the input plane's element type: staged rows cost
+/// sizeof(Sample) bytes per sample, the accumulators are always float.
+template <class Sample>
 struct TileScratch {
   /// Tile accumulators, tile_dm rows of acc_pitch floats each — the union
   /// of every work-item's register file in this group. Rows are padded to
@@ -23,10 +25,10 @@ struct TileScratch {
   std::size_t acc_pitch = 0;
   /// Staged input rows of the current (tile, channel-block), one pitched
   /// row per channel — the engine's "local memory".
-  std::vector<float, AlignedAllocator<float>> staging;
+  std::vector<Sample, AlignedAllocator<Sample>> staging;
   /// Per-channel base pointer of the current block (staged row or a
   /// pointer straight into the input matrix).
-  std::vector<const float*> src;
+  std::vector<const Sample*> src;
   /// Delay/shift table of the current DM tile, all channels:
   /// shifts[ch * tile_dm + dm] = Δ(dm0+dm, ch) − lo[ch].
   std::vector<std::size_t> shifts;
@@ -46,9 +48,10 @@ struct TileScratch {
 /// and largest delay are scanned exactly (no monotonicity-in-DM
 /// assumption), so a pathological delay table sizes the staging buffer
 /// correctly instead of reading past it.
+template <class Sample>
 void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
                        std::size_t tile_dm, std::size_t tile_time,
-                       std::size_t channels, TileScratch& s) {
+                       std::size_t channels, TileScratch<Sample>& s) {
   if (s.shifts_valid && s.shifts_dm0 == dm0) return;
   s.shifts.resize(channels * tile_dm);
   s.lo.resize(channels);
@@ -71,6 +74,13 @@ void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
   s.shifts_valid = true;
 }
 
+/// Load policy: kFloatLanes samples into one float vector. Byte samples
+/// widen only here, inside the register tile.
+inline simd::vfloat load_lanes(const float* p) { return simd::vload(p); }
+inline simd::vfloat load_lanes(const std::uint8_t* p) {
+  return simd::vload_u8(p);
+}
+
 /// Register-blocked SIMD accumulate of one channel block into the tile
 /// accumulators: the host twin of the paper's work-item, holding a
 /// DR × (U·kFloatLanes) patch of output elements in vector registers while
@@ -79,11 +89,11 @@ void build_shift_table(const sky::DelayTable& delays, std::size_t dm0,
 /// vector op. Per output element the channels are still added in ascending
 /// order, so results are bitwise identical to the scalar engine for every
 /// (DR, U) instantiation.
-template <std::size_t DR, std::size_t U>
-void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
-                           std::size_t nch, std::size_t tile_dm,
-                           std::size_t tile_time, float* acc,
-                           std::size_t acc_pitch) {
+template <class Sample, std::size_t DR, std::size_t U>
+void accumulate_block(const TileScratch<Sample>& s, std::size_t cb0,
+                      std::size_t nch, std::size_t tile_dm,
+                      std::size_t tile_time, float* acc,
+                      std::size_t acc_pitch) {
   constexpr std::size_t kW = simd::kFloatLanes;
   constexpr std::size_t kStep = U * kW;
   for (std::size_t dm0 = 0; dm0 < tile_dm; dm0 += DR) {
@@ -98,11 +108,11 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
+        const Sample* base = s.src[c] + t;
         for (std::size_t d = 0; d < DR; ++d) {
-          const float* p = base + shift[d];
+          const Sample* p = base + shift[d];
           for (std::size_t u = 0; u < U; ++u) {
-            regs[d][u] = simd::vadd(regs[d][u], simd::vload(p + u * kW));
+            regs[d][u] = simd::vadd(regs[d][u], load_lanes(p + u * kW));
           }
         }
       }
@@ -121,9 +131,9 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
+        const Sample* base = s.src[c] + t;
         for (std::size_t d = 0; d < DR; ++d) {
-          regs[d] = simd::vadd(regs[d], simd::vload(base + shift[d]));
+          regs[d] = simd::vadd(regs[d], load_lanes(base + shift[d]));
         }
       }
       for (std::size_t d = 0; d < DR; ++d) {
@@ -137,8 +147,10 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
       }
       for (std::size_t c = 0; c < nch; ++c) {
         const std::size_t* shift = &s.shifts[(cb0 + c) * tile_dm + dm0];
-        const float* base = s.src[c] + t;
-        for (std::size_t d = 0; d < DR; ++d) regs[d] += base[shift[d]];
+        const Sample* base = s.src[c] + t;
+        for (std::size_t d = 0; d < DR; ++d) {
+          regs[d] += static_cast<float>(base[shift[d]]);
+        }
       }
       for (std::size_t d = 0; d < DR; ++d) {
         acc[(dm0 + d) * acc_pitch + t] = regs[d];
@@ -150,64 +162,94 @@ void accumulate_block_simd(const TileScratch& s, std::size_t cb0,
 /// Map the config's register-tile knobs onto compiled instantiations: DR is
 /// elem_dm when the ladder covers it (it always divides tile_dm), U is the
 /// unroll knob. Unsupported values fall back to the narrowest kernel.
-template <std::size_t U>
-void dispatch_dr(std::size_t dr, const TileScratch& s, std::size_t cb0,
-                 std::size_t nch, std::size_t tile_dm,
+template <class Sample, std::size_t U>
+void dispatch_dr(std::size_t dr, const TileScratch<Sample>& s,
+                 std::size_t cb0, std::size_t nch, std::size_t tile_dm,
                  std::size_t tile_time, float* acc, std::size_t acc_pitch) {
   switch (dr) {
     case 8:
-      accumulate_block_simd<8, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block<Sample, 8, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     case 4:
-      accumulate_block_simd<4, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block<Sample, 4, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     case 2:
-      accumulate_block_simd<2, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block<Sample, 2, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
     default:
-      accumulate_block_simd<1, U>(s, cb0, nch, tile_dm, tile_time, acc,
-                                  acc_pitch);
+      accumulate_block<Sample, 1, U>(s, cb0, nch, tile_dm, tile_time, acc,
+                                     acc_pitch);
       break;
   }
 }
 
-void dispatch_block_simd(std::size_t dr, std::size_t unroll,
-                         const TileScratch& s, std::size_t cb0,
-                         std::size_t nch, std::size_t tile_dm,
-                         std::size_t tile_time, float* acc,
-                         std::size_t acc_pitch) {
+template <class Sample>
+void dispatch_block(std::size_t dr, std::size_t unroll,
+                    const TileScratch<Sample>& s, std::size_t cb0,
+                    std::size_t nch, std::size_t tile_dm,
+                    std::size_t tile_time, float* acc,
+                    std::size_t acc_pitch) {
   switch (unroll) {
     case 8:
-      dispatch_dr<8>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<Sample, 8>(dr, s, cb0, nch, tile_dm, tile_time, acc,
+                             acc_pitch);
       break;
     case 4:
-      dispatch_dr<4>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<Sample, 4>(dr, s, cb0, nch, tile_dm, tile_time, acc,
+                             acc_pitch);
       break;
     case 2:
-      dispatch_dr<2>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<Sample, 2>(dr, s, cb0, nch, tile_dm, tile_time, acc,
+                             acc_pitch);
       break;
     default:
-      dispatch_dr<1>(dr, s, cb0, nch, tile_dm, tile_time, acc, acc_pitch);
+      dispatch_dr<Sample, 1>(dr, s, cb0, nch, tile_dm, tile_time, acc,
+                             acc_pitch);
       break;
   }
 }
 
-/// The seed's scalar inner loop, kept verbatim as the engine baseline.
-inline void accumulate_span_scalar(float* a, const float* s, std::size_t n) {
-  for (std::size_t t = 0; t < n; ++t) a[t] += s[t];
+/// The seed's scalar inner loop, kept as the engine baseline.
+template <class Sample>
+inline void accumulate_span_scalar(float* a, const Sample* s, std::size_t n) {
+  for (std::size_t t = 0; t < n; ++t) a[t] += static_cast<float>(s[t]);
 }
+
+/// Writeback policy of float samples: the accumulators are the output.
+struct CopyWriteback {
+  void operator()(const float* acc, float* dst, std::size_t n) const {
+    std::copy(acc, acc + n, dst);
+  }
+};
+
+/// Writeback policy of u8 codes: the affine dequantization, applied once
+/// per output element. Σ dequant(q) over C channels = C·lo + scale·Σq,
+/// computed from the exact integer code sum — the same floats on every
+/// code path.
+struct DequantizeWriteback {
+  float base;   ///< C·lo
+  float scale;  ///< QuantizationParams::scale()
+
+  void operator()(const float* acc, float* dst, std::size_t n) const {
+    // Locals, so stores through dst cannot alias the coefficients.
+    const float b = base;
+    const float k = scale;
+    for (std::size_t t = 0; t < n; ++t) dst[t] = b + k * acc[t];
+  }
+};
 
 /// Process one work-group tile: trials [dm0, dm0+tile_dm) × samples
 /// [t0, t0+tile_time). Channel-major accumulation matches the reference;
 /// channel blocking only re-chunks the (ordered) channel loop, so results
 /// are bitwise identical for every block size.
+template <class Sample, class Writeback>
 void process_tile(const Plan& plan, const KernelConfig& config,
-                  ConstView2D<float> in, View2D<float> out, std::size_t dm0,
+                  ConstView2D<Sample> in, View2D<float> out, std::size_t dm0,
                   std::size_t t0, const CpuKernelOptions& options,
-                  TileScratch& scratch) {
+                  const Writeback& writeback, TileScratch<Sample>& scratch) {
   const sky::DelayTable& delays = plan.delays();
   const std::size_t tile_dm = config.tile_dm();
   const std::size_t tile_time = config.tile_time();
@@ -239,8 +281,8 @@ void process_tile(const Plan& plan, const KernelConfig& config,
       const std::size_t pitch = round_up(max_span, simd::kFloatLanes);
       scratch.staging.resize(nch * pitch);
       for (std::size_t c = 0; c < nch; ++c) {
-        float* dst = &scratch.staging[c * pitch];
-        const float* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
+        Sample* dst = &scratch.staging[c * pitch];
+        const Sample* row = &in(cb0 + c, t0 + scratch.lo[cb0 + c]);
         std::copy(row, row + scratch.span[cb0 + c], dst);
         scratch.src[c] = dst;
       }
@@ -251,8 +293,8 @@ void process_tile(const Plan& plan, const KernelConfig& config,
     }
 
     if (options.vectorize) {
-      dispatch_block_simd(dr, config.unroll, scratch, cb0, nch, tile_dm,
-                          tile_time, scratch.acc.data(), scratch.acc_pitch);
+      dispatch_block(dr, config.unroll, scratch, cb0, nch, tile_dm,
+                     tile_time, scratch.acc.data(), scratch.acc_pitch);
     } else {
       // Seed engine: channel-outer scalar accumulate.
       for (std::size_t c = 0; c < nch; ++c) {
@@ -266,13 +308,13 @@ void process_tile(const Plan& plan, const KernelConfig& config,
   }
 
   for (std::size_t dm = 0; dm < tile_dm; ++dm) {
-    float* dst = &out(dm0 + dm, t0);
-    const float* a = &scratch.acc[dm * scratch.acc_pitch];
-    std::copy(a, a + tile_time, dst);
+    writeback(&scratch.acc[dm * scratch.acc_pitch], &out(dm0 + dm, t0),
+              tile_time);
   }
 }
 
-void check_shapes(const Plan& plan, ConstView2D<float> in,
+template <class Sample>
+void check_shapes(const Plan& plan, ConstView2D<Sample> in,
                   View2D<float> out) {
   DDMC_REQUIRE(in.rows() == plan.channels(), "input rows != channels");
   DDMC_REQUIRE(in.cols() >= plan.in_samples(),
@@ -281,43 +323,42 @@ void check_shapes(const Plan& plan, ConstView2D<float> in,
   DDMC_REQUIRE(out.cols() >= plan.out_samples(), "output too short");
 }
 
+/// The threaded driver: tiles are independent, so workers take contiguous
+/// ranges of the (DM tile, time tile) grid, each with its own scratch.
+template <class Sample, class Writeback>
+void dedisperse_tiled(const Plan& plan, const KernelConfig& config,
+                      ConstView2D<Sample> in, View2D<float> out,
+                      const CpuKernelOptions& options,
+                      const Writeback& writeback) {
+  config.validate(plan);
+  check_shapes(plan, in, out);
+
+  const std::size_t groups_time = config.groups_time(plan);
+  const std::size_t total = config.groups_dm(plan) * groups_time;
+
+  auto run_range = [&](std::size_t begin, std::size_t end) {
+    TileScratch<Sample> scratch;  // reused across tiles on this worker
+    for (std::size_t g = begin; g < end; ++g) {
+      const std::size_t gd = g / groups_time;
+      const std::size_t gt = g % groups_time;
+      process_tile(plan, config, in, out, gd * config.tile_dm(),
+                   gt * config.tile_time(), options, writeback, scratch);
+    }
+  };
+  parallel_for_threads(
+      options.threads, total,
+      [total](std::size_t workers) {
+        return std::max<std::size_t>(1, total / (workers * 4));
+      },
+      run_range);
+}
+
 }  // namespace
 
 void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                     ConstView2D<float> in, View2D<float> out,
                     const CpuKernelOptions& options) {
-  config.validate(plan);
-  check_shapes(plan, in, out);
-
-  const std::size_t groups_dm = config.groups_dm(plan);
-  const std::size_t groups_time = config.groups_time(plan);
-  const std::size_t total = groups_dm * groups_time;
-
-  auto run_range = [&](std::size_t begin, std::size_t end) {
-    TileScratch scratch;  // reused across tiles on this worker
-    for (std::size_t g = begin; g < end; ++g) {
-      const std::size_t gd = g / groups_time;
-      const std::size_t gt = g % groups_time;
-      process_tile(plan, config, in, out, gd * config.tile_dm(),
-                   gt * config.tile_time(), options, scratch);
-    }
-  };
-
-  if (options.threads == 1) {
-    run_range(0, total);
-    return;
-  }
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned;
-  if (options.threads == 0) {
-    pool = &global_pool();
-  } else {
-    owned = std::make_unique<ThreadPool>(options.threads);
-    pool = owned.get();
-  }
-  const std::size_t block =
-      std::max<std::size_t>(1, total / (pool->worker_count() * 4));
-  pool->parallel_for(0, total, block, run_range);
+  dedisperse_tiled(plan, config, in, out, options, CopyWriteback{});
 }
 
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
@@ -325,6 +366,25 @@ Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               const CpuKernelOptions& options) {
   Array2D<float> out(plan.dms(), plan.out_samples());
   dedisperse_cpu(plan, config, in, out.view(), options);
+  return out;
+}
+
+void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                       ConstView2D<std::uint8_t> in,
+                       const QuantizationParams& params, View2D<float> out,
+                       const CpuKernelOptions& options) {
+  dedisperse_tiled(plan, config, in, out, options,
+                   DequantizeWriteback{
+                       static_cast<float>(plan.channels()) * params.lo,
+                       params.scale()});
+}
+
+Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                                 ConstView2D<std::uint8_t> in,
+                                 const QuantizationParams& params,
+                                 const CpuKernelOptions& options) {
+  Array2D<float> out(plan.dms(), plan.out_samples());
+  dedisperse_cpu_u8(plan, config, in, params, out.view(), options);
   return out;
 }
 

@@ -19,10 +19,27 @@
 /// so scalar, vectorized, blocked and threaded runs are all bit-identical
 /// to dedisp::reference — which is what the equivalence test suite checks.
 /// Tiles are independent and are distributed over a thread pool.
+///
+/// One kernel serves two sample types. dedisperse_cpu reads float samples;
+/// dedisperse_cpu_u8 reads quantized 8-bit codes, one byte per element from
+/// DRAM all the way into the register tile, where simd::vload_u8 widens
+/// them to float lanes. Dedispersion is memory-bandwidth-bound (the paper's
+/// central premise), so streaming a quarter of the input bytes is worth
+/// more than any ALU trick. Only the load and the writeback differ by
+/// sample type: the u8 path accumulates *raw codes* in float lanes — exact
+/// while the running sum stays below 2^24, i.e. for any channel count up
+/// to 65 793 — and applies the affine dequantization once per output
+/// element at writeback: out = C·lo + scale·Σq. Its sums are exact
+/// integers, so every tile shape, channel block, unroll, SIMD backend and
+/// thread count produces bitwise-identical output; only the quantization
+/// itself is approximate (see quantize.hpp for the bound).
+
+#include <cstdint>
 
 #include "common/array2d.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 
 namespace ddmc::dedisp {
 
@@ -47,5 +64,19 @@ void dedisperse_cpu(const Plan& plan, const KernelConfig& config,
 Array2D<float> dedisperse_cpu(const Plan& plan, const KernelConfig& config,
                               ConstView2D<float> in,
                               const CpuKernelOptions& options = {});
+
+/// Execute the tiled kernel on a quantized byte plane (channels ×
+/// ≥in_samples codes under \p params). \p config must validate against
+/// \p plan.
+void dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                       ConstView2D<std::uint8_t> in,
+                       const QuantizationParams& params, View2D<float> out,
+                       const CpuKernelOptions& options = {});
+
+/// Convenience allocating the output matrix.
+Array2D<float> dedisperse_cpu_u8(const Plan& plan, const KernelConfig& config,
+                                 ConstView2D<std::uint8_t> in,
+                                 const QuantizationParams& params,
+                                 const CpuKernelOptions& options = {});
 
 }  // namespace ddmc::dedisp

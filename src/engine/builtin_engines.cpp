@@ -2,9 +2,10 @@
 /// \brief The built-in execution paths, wrapped as DedispEngines.
 ///
 /// This file is deliberately the only place in the library that calls the
-/// concrete kernels (dedisperse_cpu, dedisperse_cpu_u8,
-/// dedisperse_cpu_baseline, dedisperse_reference, dedisperse_subband,
-/// dedisperse_fdmt, simulate_dedisp): every
+/// concrete kernels (the tiled kernel's float and 8-bit entry points
+/// dedisperse_cpu and dedisperse_cpu_u8, dedisperse_cpu_baseline,
+/// dedisperse_reference, dedisperse_subband, dedisperse_fdmt and
+/// simulate_dedisp): every
 /// consumer above it dispatches through the DedispEngine interface, so a
 /// grep for those symbols outside src/engine/ and src/dedisp/ should come
 /// back empty — that is the refactor's invariant.
@@ -26,7 +27,6 @@
 #include "common/simd.hpp"
 #include "dedisp/cpu_baseline.hpp"
 #include "dedisp/cpu_kernel.hpp"
-#include "dedisp/cpu_kernel_u8.hpp"
 #include "dedisp/fdmt.hpp"
 #include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"

@@ -1,6 +1,5 @@
 #include "pipeline/multibeam.hpp"
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -82,19 +81,10 @@ std::vector<Array2D<float>> MultiBeamDedisperser::dedisperse(
     }
   };
 
-  if (threads == 1 || beams.size() == 1) {
-    run_beam(0, beams.size());
-    return outputs;
-  }
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned;
-  if (threads == 0) {
-    pool = &global_pool();
-  } else {
-    owned = std::make_unique<ThreadPool>(threads);
-    pool = owned.get();
-  }
-  pool->parallel_for(0, beams.size(), 1, run_beam);
+  // One beam needs no pool: run it inline.
+  parallel_for_threads(
+      beams.size() == 1 ? 1 : threads, beams.size(),
+      [](std::size_t) { return std::size_t{1}; }, run_beam);
   return outputs;
 }
 

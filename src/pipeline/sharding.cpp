@@ -383,6 +383,7 @@ void ShardedDedisperser::run_batch(
       }
       reassignments_metric->increment();
       std::optional<resilience::ShardFailure> sub_failure;
+      std::size_t sub_failure_index = 0;  // sub-shard sub_failure came from
       pool_->parallel_for(
           0, sub_layout.shards.size(), 1,
           [&](std::size_t begin, std::size_t end) {
@@ -396,8 +397,13 @@ void ShardedDedisperser::run_batch(
                   rows_of(failure.beam, range.first_dm + sub.first_dm,
                           sub.dms));
               if (f) {
+                // Keep the lowest failed sub-shard, not the first to
+                // finish, so the report does not depend on worker timing.
                 std::lock_guard<std::mutex> lock(state_mutex);
-                if (!sub_failure) sub_failure = *f;
+                if (!sub_failure || s < sub_failure_index) {
+                  sub_failure = *f;
+                  sub_failure_index = s;
+                }
               }
             }
           });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <tuple>
 #include <utility>
 
 #include "engine/registry.hpp"
@@ -23,8 +24,23 @@ void backoff_sleep(const RetryPolicy& policy, std::size_t retry) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+namespace {
+
+/// Sort \p failures by (beam, shard) in place: workers finish in any
+/// order, and what() and aggregate_class() must not depend on it.
+std::vector<ShardFailure>& in_job_order(std::vector<ShardFailure>& failures) {
+  std::stable_sort(failures.begin(), failures.end(),
+                   [](const ShardFailure& a, const ShardFailure& b) {
+                     return std::tie(a.beam, a.shard) <
+                            std::tie(b.beam, b.shard);
+                   });
+  return failures;
+}
+
+}  // namespace
+
 ShardExecutionError::ShardExecutionError(std::vector<ShardFailure> failures)
-    : Error(format(failures)), failures_(std::move(failures)) {}
+    : Error(format(in_job_order(failures))), failures_(std::move(failures)) {}
 
 std::string ShardExecutionError::format(
     const std::vector<ShardFailure>& failures) {

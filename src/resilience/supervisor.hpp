@@ -104,7 +104,8 @@ struct ShardFailure {
 
 /// Aggregate of *every* failed (beam, shard) job of a sharded run — not
 /// just the first — so an operator sees the whole blast radius at once.
-/// what() names each failed shard index and its cause.
+/// what() names each failed shard index and its cause. The failures are
+/// kept in (beam, shard) order, whatever order the workers finished in.
 class ShardExecutionError : public Error {
  public:
   explicit ShardExecutionError(std::vector<ShardFailure> failures);
@@ -113,7 +114,8 @@ class ShardExecutionError : public Error {
 
   /// Taxonomy class of the aggregate: kTransient when *every* failed job
   /// was transient (a retry of the whole run could succeed — the streaming
-  /// watchdog's retry/skip rungs apply), else the first fatal kind.
+  /// watchdog's retry/skip rungs apply), else the fatal kind of the
+  /// first failed job in (beam, shard) order.
   ErrorClass aggregate_class() const {
     for (const ShardFailure& f : failures_) {
       if (f.kind != ErrorClass::kTransient) return f.kind;

@@ -211,6 +211,40 @@ TEST(ThreadPool, WorkerCountDefaultsToHardware) {
   EXPECT_GE(pool.worker_count(), 1u);
 }
 
+TEST(ThreadPool, ThreadCountConventionSelectsThePool) {
+  // 1 = one inline call on the calling thread (grain never consulted);
+  // 0 = the global pool; n = an owned pool of n workers. Every choice
+  // covers the range exactly once.
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_for_threads(
+      1, 10, [](std::size_t) -> std::size_t { throw std::logic_error("grain"); },
+      [&](std::size_t b, std::size_t e) {
+        ++calls;
+        EXPECT_EQ(b, 0u);
+        EXPECT_EQ(e, 10u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      });
+  EXPECT_EQ(calls, 1);
+
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
+    std::size_t seen_workers = 0;
+    std::vector<std::atomic<int>> hits(100);
+    parallel_for_threads(
+        threads, hits.size(),
+        [&](std::size_t workers) {
+          seen_workers = workers;
+          return std::size_t{7};
+        },
+        [&](std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) ++hits[i];
+        });
+    EXPECT_EQ(seen_workers,
+              threads == 0 ? global_pool().worker_count() : threads);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
 }

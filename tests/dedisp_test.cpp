@@ -1,10 +1,11 @@
 // Unit and property tests for the core library: plans, kernel configs, the
-// reference algorithm, the tiled CPU kernel, the CPU baseline and the
-// arithmetic-intensity analysis.
+// reference algorithm, the tiled CPU kernel (float and 8-bit samples), the
+// CPU baseline and the arithmetic-intensity analysis.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "dedisp/intensity.hpp"
 #include "dedisp/kernel_config.hpp"
 #include "dedisp/plan.hpp"
+#include "dedisp/quantize.hpp"
 #include "dedisp/reference.hpp"
 #include "test_util.hpp"
 
@@ -189,6 +191,63 @@ TEST(Reference, RejectsWrongShapes) {
 
 // ----------------------------------------------- tiled CPU kernel (sweep) --
 
+/// A window as wide as random_input's range, so the codes span all of
+/// [0, 255] and the raw-code sums exercise the full accumulator range.
+const QuantizationParams kU8Window{-1.0f, 1.0f};
+
+/// The u8 kernel's own anchor: the 1×1 tile, staged, scalar, inline. Its
+/// raw-code sums are exact integers, so every other tile shape, staging,
+/// SIMD and threading choice must reproduce this run bit-for-bit.
+Array2D<float> u8_anchor(const Plan& plan, const Array2D<std::uint8_t>& q) {
+  CpuKernelOptions opt;
+  opt.stage_rows = true;
+  opt.vectorize = false;
+  opt.threads = 1;
+  return dedisperse_cpu_u8(plan, KernelConfig{1, 1, 1, 1}, q.cview(),
+                           kU8Window, opt);
+}
+
+/// |got − expected| ≤ the documented quantization bound, element-wise.
+void expect_within_quantization_bound(const Plan& plan,
+                                      const Array2D<float>& expected,
+                                      const Array2D<float>& got) {
+  const double bound = quantization_error_bound(plan, kU8Window);
+  ASSERT_EQ(expected.rows(), got.rows());
+  ASSERT_EQ(expected.cols(), got.cols());
+  for (std::size_t r = 0; r < expected.rows(); ++r) {
+    for (std::size_t c = 0; c < expected.cols(); ++c) {
+      ASSERT_LE(std::abs(got(r, c) - expected(r, c)), bound)
+          << "at (" << r << ", " << c << ")";
+    }
+  }
+}
+
+/// Every host-execution variant of the u8 kernel under \p cfg: bitwise
+/// equal to its anchor and within the quantization bound of the float
+/// reference.
+void expect_u8_variants_match(const Plan& plan, const KernelConfig& cfg,
+                              const Array2D<float>& in,
+                              const Array2D<float>& expected) {
+  const Array2D<std::uint8_t> q = quantize_plane(plan, in.cview(), kU8Window);
+  const Array2D<float> anchor = u8_anchor(plan, q);
+  expect_within_quantization_bound(plan, expected, anchor);
+  for (bool staged : {true, false}) {
+    for (bool vectorize : {true, false}) {
+      for (std::size_t threads : {1ul, 2ul}) {
+        CpuKernelOptions opt;
+        opt.stage_rows = staged;
+        opt.vectorize = vectorize;
+        opt.threads = threads;
+        SCOPED_TRACE(cfg.to_string() + (staged ? " staged" : " unstaged") +
+                     (vectorize ? " simd" : " scalar") + " threads=" +
+                     std::to_string(threads));
+        expect_same_matrix(
+            anchor, dedisperse_cpu_u8(plan, cfg, q.cview(), kU8Window, opt));
+      }
+    }
+  }
+}
+
 /// Property sweep: every meaningful tiling must reproduce the reference
 /// bit-for-bit, staged or not, threaded or inline.
 class CpuKernelEquivalence
@@ -214,6 +273,13 @@ TEST_P(CpuKernelEquivalence, MatchesReferenceUnstagedThreaded) {
   opt.threads = 3;
   const Array2D<float> got = dedisperse_cpu(plan, GetParam(), in.cview(), opt);
   expect_same_matrix(expected, got);
+}
+
+TEST_P(CpuKernelEquivalence, U8MatchesItsAnchorAcrossExecutionVariants) {
+  const Plan plan = mini_plan(8, 64);
+  const Array2D<float> in = random_input(plan);
+  const Array2D<float> expected = dedisperse_reference(plan, in.cview());
+  expect_u8_variants_match(plan, GetParam(), in, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -374,6 +440,8 @@ TEST(CpuKernel, StagingSpanEdgeCases) {
       const Array2D<float> got = dedisperse_cpu(plan, cfg, in.cview(), opt);
       expect_same_matrix(expected, got);
     }
+    SCOPED_TRACE("dm_step=" + std::to_string(dm_step) + " u8");
+    expect_u8_variants_match(plan, cfg, in, expected);
   }
 }
 

@@ -946,7 +946,8 @@ TEST(EngineTraffic, ReportedBytesFollowTheDeclaredElementSize) {
 // ---------------------------------------------------------- config validity --
 
 TEST(EngineConfig, UnsupportedUnrollHintsFailFast) {
-  // simd::accumulate_span* compile exactly the {1,2,4,8} instantiations;
+  // simd::accumulate_span and the tiled kernel's register-tile ladder
+  // compile exactly the {1,2,4,8} unroll instantiations;
   // any other hint used to fall back silently, measuring the un-unrolled
   // loop under the wrong label and poisoning the tuning cache. Validation
   // now rejects it at every entry point.

@@ -370,6 +370,9 @@ TEST(SupervisedSharding, LastReportIsSafeToReadMidFlight) {
       reads.fetch_add(1);
     }
   });
+  // The runs take about a millisecond in all; start them only once the
+  // reader is reading, or a slow thread start leaves nothing to check.
+  while (reads.load() == 0) std::this_thread::yield();
 
   const Array2D<float> expected = single_engine(plan, config, input);
   for (int run = 0; run < 20; ++run) {
